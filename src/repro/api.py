@@ -29,7 +29,7 @@ from repro.algorithms import Plan, cosma_idle_fraction, get_algorithm, registere
 from repro.baselines.costs import CostPrediction
 from repro.core.cost_model import cosma_io_cost
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import MODES, ShapeToken, allclose_tolerances
+from repro.machine.transport import MODES, ShapeToken, verify_product
 from repro.obs.trace import active_tracer
 from repro.pebbling.mmm_bounds import parallel_io_lower_bound, sequential_io_lower_bound
 from repro.utils.validation import check_positive_int
@@ -83,7 +83,9 @@ class RunReport:
     plan: Plan
     #: Transport mode the run used (``legacy`` / ``zerocopy`` / ``volume``).
     mode: str = "legacy"
-    #: Whether the numerical result was checked against ``A @ B``.
+    #: Whether the numerical result was checked: Freivalds' probe check
+    #: :func:`~repro.machine.transport.verify_product` (every numeric mode;
+    #: ``volume`` mode has no product to check).
     verified: bool = True
     #: Outcome of that check (``True`` whenever verification was skipped).
     correct: bool = True
@@ -164,9 +166,9 @@ def multiply(
         ``compress_rounds``, shards never enters a sweep run's identity key.
     plane_dtype:
         Element dtype for numeric payloads (``"float64"`` default,
-        ``"float32"`` opt-in).  Verification switches to relative
-        tolerances appropriate for the dtype; counters are unchanged
-        (words are elements, not bytes).
+        ``"float32"`` opt-in).  Verification switches to the dtype's
+        rounding-error bound; counters are unchanged (words are elements,
+        not bytes).
 
     Examples
     --------
@@ -237,10 +239,7 @@ def multiply(
     machine.counters.assert_conservation()
 
     verified = mode != "volume"
-    correct = True
-    if verified:
-        rtol, atol_unit = allclose_tolerances(getattr(product, "dtype", np.float64))
-        correct = bool(np.allclose(product, a_in @ b_in, rtol=rtol, atol=atol_unit * k))
+    correct = verify_product(a_in, b_in, product) if verified else True
     counters = machine.counters
     bound = run_plan.lower_bound_per_rank  # same inputs as the Theorem 2 call
     return RunReport(

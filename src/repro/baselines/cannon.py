@@ -282,7 +282,7 @@ def _cannon_plane(
         b_stack = b_stack[perm_b]
         machine.check_memory()
 
-    c_pad = np.zeros((bm * q, bn * q))
+    c_pad = machine.zeros((bm * q, bn * q))
     c_view = c_plane.data.reshape(q, q, bm, bn)
     c_pad[...] = c_view.transpose(0, 2, 1, 3).reshape(bm * q, bn * q)
     return c_pad

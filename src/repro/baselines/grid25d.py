@@ -324,7 +324,7 @@ def _grid25d_plane(
         machine.post_flops(layer_ranks, mn_outer * (2 * lk))
 
         # Panel assembly from strided slot slices + one broadcasting GEMM.
-        a_panels = np.zeros((qm, lm_max, max(1, lk)))
+        a_panels = machine.zeros((qm, lm_max, max(1, lk)))
         offset = 0
         for j in range(qn):
             if aw[j] > 0:
@@ -332,7 +332,7 @@ def _grid25d_plane(
                     a_plane.data[j * c + layer :: qn * c, :, : aw[j]]
                 )
             offset += int(aw[j])
-        b_panels = np.zeros((qn, max(1, lk), ln_max))
+        b_panels = machine.zeros((qn, max(1, lk), ln_max))
         offset = 0
         for i in range(qm):
             if bw[i] > 0:
@@ -361,7 +361,7 @@ def _grid25d_plane(
     totals = np.add.reduce(
         c_plane.data.reshape(qm * qn, c, lm_max, ln_max), axis=1
     )
-    c_global = np.zeros((m, n))
+    c_global = machine.zeros((m, n))
     for i in range(qm):
         i0, i1 = i_ranges[i]
         for j in range(qn):

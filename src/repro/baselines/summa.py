@@ -335,7 +335,7 @@ def _summa_plane(
         machine.post_flops(all_ranks, mn_outer * (2 * width))
 
         # Strided panel assembly + one broadcasting batched GEMM.
-        a_panels = np.zeros((pm, lm_max, width))
+        a_panels = machine.zeros((pm, lm_max, width))
         for j in range(pn):
             if w_a[j] <= 0:
                 continue
@@ -344,7 +344,7 @@ def _summa_plane(
             a_panels[:, :, lo - panel_start : hi - panel_start] = (
                 a_plane.data[j::pn, :, lo - ak_lo[j] : hi - ak_lo[j]]
             )
-        b_panels = np.zeros((pn, width, ln_max))
+        b_panels = machine.zeros((pn, width, ln_max))
         for i in range(pm):
             if w_b[i] <= 0:
                 continue
@@ -355,7 +355,7 @@ def _summa_plane(
             )
         c_view += np.matmul(a_panels[:, None], b_panels[None, :])
 
-    c_global = np.zeros((m, n))
+    c_global = machine.zeros((m, n))
     for i in range(pm):
         i0, i1 = i_ranges[i]
         for j in range(pn):

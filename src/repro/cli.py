@@ -21,9 +21,11 @@ Algorithm names (and their choice lists) come from the algorithm registry
 anywhere an algorithm is named.
 
 Each subcommand prints a plain-text report; exit code 0 means every executed
-multiplication verified against numpy.  ``store verify`` has a documented
-exit-code contract: 0 = store is clean, 1 = store holds torn / duplicate /
-drifted lines, 2 = no store at the given path.
+multiplication passed verification (Freivalds' probe check of ``C X``
+against ``A (B X)``, :func:`repro.machine.transport.verify_product`).
+``store verify`` has a documented exit-code contract: 0 = store is clean,
+1 = store holds torn / duplicate / drifted lines, 2 = no store at the given
+path.
 
 Observability: the global ``--log-level`` flag configures the ``repro``
 logger hierarchy; ``multiply`` and ``sweep`` accept ``--trace FILE`` (write a
@@ -58,7 +60,7 @@ from repro.experiments.harness import sweep
 from repro.experiments.perf_model import simulated_time
 from repro.experiments.report import format_table, group_by_scenario
 from repro.machine.topology import MachineSpec
-from repro.machine.transport import MODES, PLANE_DTYPES
+from repro.machine.transport import MODES, PLANE_DTYPES, verify_product
 from repro.obs import (
     LOG_LEVELS,
     CampaignProgress,
@@ -110,7 +112,7 @@ def _add_multiply_args(p_mult: argparse.ArgumentParser) -> None:
         "--plane-dtype", choices=list(PLANE_DTYPES), default="float64",
         help=(
             "element dtype for numeric payloads; float32 halves memory and "
-            "speeds up GEMMs, verified at relative tolerance"
+            "speeds up GEMMs, verified at the dtype's rounding-error bound"
         ),
     )
 
@@ -512,7 +514,7 @@ def _cmd_sequential(args: argparse.Namespace) -> int:
     ok = True
     for s in args.memory:
         run = tiled_multiply(a, b, memory_words=s)
-        ok = ok and bool(np.allclose(run.matrix, a @ b))
+        ok = ok and verify_product(a, b, run.matrix)
         bound = lower_bound_sequential(n, n, n, s)
         rows.append([s, f"{run.schedule.a}x{run.schedule.b}", round(bound), run.io, round(run.io / bound, 3)])
     print(format_table(["S", "tile", "lower bound", "measured I/O", "ratio"], rows))

@@ -3,9 +3,11 @@
 The harness plays the role of the paper's job scripts + mpiP profiling: it
 builds a fresh :class:`~repro.machine.simulator.DistributedMachine` for every
 (algorithm, scenario) pair, generates the input matrices, runs the algorithm,
-verifies the numerical result against ``A @ B`` and records the communication
-counters.  Every run additionally asserts word conservation (every word sent
-was received by exactly one rank).
+verifies the numerical result with Freivalds' probe check
+(:func:`~repro.machine.transport.verify_product`: ``C X`` against
+``A (B X)`` within a rounding-error bound, no reference ``A @ B``) and records
+the communication counters.  Every run additionally asserts word conservation
+(every word sent was received by exactly one rank).
 
 Runs accept a ``mode`` (``legacy`` / ``zerocopy`` / ``volume``, see
 :mod:`repro.machine.transport`).  In volume mode the inputs are shape tokens
@@ -16,7 +18,6 @@ is what allows sweeps at the paper's true scale.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -25,43 +26,9 @@ import numpy as np
 
 from repro.algorithms import ALGORITHMS, DEFAULT_ALGORITHMS, get_algorithm
 from repro.machine.simulator import DistributedMachine
-from repro.machine.transport import MODES, ShapeToken, allclose_tolerances
+from repro.machine.transport import MODES, ShapeToken, verify_product
 from repro.obs.trace import active_tracer
 from repro.workloads.scaling import Scenario
-from repro.workloads.shapes import ProblemShape
-
-#: Total words the verification-reference cache may pin (~0.25 GB), evicted
-#: least-recently-used first -- same policy as the input-matrix cache.
-_REFERENCE_CACHE_MAX_WORDS = 1 << 25
-_REFERENCE_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_REFERENCE_CACHE_WORDS = 0
-
-
-def _reference_product(shape: ProblemShape, seed: int) -> np.ndarray:
-    """The verification reference ``A @ B`` for a (shape, seed) point, cached.
-
-    Every numeric-mode run of the same point verifies against the same
-    product; sweeps that compare several algorithms (or transport modes)
-    used to recompute this full-size GEMM once per run.  The cache is
-    footprint-bounded so multi-shape campaigns do not pin dead products.
-    """
-    global _REFERENCE_CACHE_WORDS
-    key = (shape, int(seed))
-    hit = _REFERENCE_CACHE.get(key)
-    if hit is not None:
-        _REFERENCE_CACHE.move_to_end(key)
-        return hit
-    a_matrix, b_matrix = shape.random_matrices(seed=seed)
-    reference = a_matrix @ b_matrix
-    reference.setflags(write=False)
-    if reference.size <= _REFERENCE_CACHE_MAX_WORDS:
-        _REFERENCE_CACHE[key] = reference
-        _REFERENCE_CACHE_WORDS += reference.size
-        while _REFERENCE_CACHE_WORDS > _REFERENCE_CACHE_MAX_WORDS:
-            _, old = _REFERENCE_CACHE.popitem(last=False)
-            _REFERENCE_CACHE_WORDS -= old.size
-    return reference
-
 
 @dataclass
 class AlgorithmRun:
@@ -69,8 +36,8 @@ class AlgorithmRun:
 
     algorithm: str
     scenario: Scenario
-    #: Whether the result matched ``A @ B`` -- True when verification was
-    #: skipped (see ``verified``).
+    #: Whether the result passed :func:`~repro.machine.transport.verify_product`
+    #: -- True when verification was skipped (see ``verified``).
     correct: bool
     #: Average words moved (sent + received) per rank -- Table 4's metric.
     mean_words_per_rank: float
@@ -92,7 +59,8 @@ class AlgorithmRun:
     max_messages_per_rank: int
     #: Execution mode the run used (``legacy`` / ``zerocopy`` / ``volume``).
     mode: str = "legacy"
-    #: Whether the numerical result was actually checked against ``A @ B``.
+    #: Whether the numerical result was actually checked (Freivalds' probe
+    #: check against ``A (B X)``).
     verified: bool = True
 
     @property
@@ -174,7 +142,7 @@ def run_algorithm(
     the plane engine's numeric GEMMs over worker processes
     (:mod:`repro.machine.shard`; counters are byte-identical across shard
     counts) and ``plane_dtype`` selects the numeric payload dtype
-    (verification uses dtype-appropriate relative tolerances).  Every run
+    (verification uses the dtype's rounding-error bound).  Every run
     ends with a word-conservation assertion
     (:meth:`~repro.machine.counters.CommCounters.assert_conservation`).
     """
@@ -225,13 +193,7 @@ def run_algorithm(
             # for algorithms that never mark one) into a final round span.
             machine.trace.commit_round(machine.peak_resident_words)
     verified = bool(verify) and mode != "volume"
-    correct = True
-    if verified:
-        rtol, atol_unit = allclose_tolerances(getattr(product, "dtype", np.float64))
-        correct = bool(np.allclose(
-            product, _reference_product(shape, seed),
-            rtol=rtol, atol=atol_unit * shape.k,
-        ))
+    correct = verify_product(a_matrix, b_matrix, product) if verified else True
     machine.counters.assert_conservation()
     counters = machine.counters
     return AlgorithmRun(

@@ -50,9 +50,12 @@ this module (:func:`as_payload`, :func:`ascontiguous`,
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
+
+from repro.obs.trace import active_tracer
 
 #: The supported execution modes, in "most faithful" to "fastest" order.
 MODES = ("legacy", "zerocopy", "plane", "volume")
@@ -228,17 +231,86 @@ def plane_dtype_of(dtype) -> np.dtype:
     return resolved
 
 
-def allclose_tolerances(dtype) -> tuple[float, float]:
-    """Verification tolerances ``(rtol, atol_per_k_word)`` for a product dtype.
+def allclose_tolerances(dtype, k: int) -> float:
+    """Relative rounding-error bound ``gamma`` of a length-``k`` product in ``dtype``.
 
-    float64 keeps the historical tolerances (numpy's default rtol, the
-    harness's ``1e-8 * k`` atol); float32 relaxes both to the dtype's ~7
-    significant digits so a correctly computed float32 product verifies
-    against a float64 (or float32) reference.
+    A correctly computed ``C = A @ B`` held in ``dtype`` satisfies
+    ``|C - A B| <= gamma * |A| |B|`` elementwise, whatever the summation
+    order or blocking of the inner dimension:
+
+    * float64 uses the worst-case-sound ``gamma_k = k * u`` with
+      ``u = 2**-53`` (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, section 3.5);
+    * float32 uses the probabilistic ``sqrt(k)`` scaling of Higham & Mary
+      (SIAM J. Sci. Comput., 2019), ``4 * sqrt(k) * u`` with ``u = 2**-24``,
+      plus ``2u`` for rounding float64 operands to float32.  The worst case
+      ``k * u`` would reach 100% relative error at ``k = 2**24``.
+
+    :func:`verify_product` builds its acceptance bound from these.
     """
     if np.dtype(dtype) == np.float32:
-        return 1e-4, 1e-6
-    return 1e-5, 1e-8
+        u = float(np.finfo(np.float32).eps) / 2
+        return (4.0 * math.sqrt(k) + 2.0) * u
+    return k * float(np.finfo(np.float64).eps) / 2
+
+
+#: Freivalds probe columns per verification.  The probe products are
+#: memory-bound, so 8 columns cost about what 4 do at 4096^2.
+_VERIFY_PROBES = 8
+#: Fixed probe seed: a run's verdict is a pure function of its inputs and
+#: product, so sweep records and golden rows stay byte-identical.
+_VERIFY_SEED = 0x5EED
+
+
+def verify_product(a, b, c) -> bool:
+    """Freivalds' randomized check that ``c`` is ``a @ b`` up to rounding.
+
+    Draws ``X``, ``_VERIFY_PROBES`` (8) columns uniform in ``[-1, 1]`` from a
+    fixed seed, and compares ``c @ X`` with ``a @ (b @ X)`` in float64:
+    ``O(r (mk + kn + mn))`` work instead of the ``O(mnk)`` reference
+    product (a float32 ``c`` is widened for the check).  Entry ``(i, j)`` of
+    the residual must
+    stay within
+
+        ``2 (gamma_c(k) + gamma(k) + 2 gamma(n)) ||A[i, :]|| sum_l ||B[:, l]|| |X[l, j]|``
+
+    the first-order rounding error of ``c`` in its own dtype plus that of
+    the three float64 probe products (:func:`allclose_tolerances`), with
+    ``|A| |B|`` bounded by row norms of A times column norms of B
+    (Cauchy-Schwarz).  The factor 2 covers second-order terms and the
+    rounding of the check itself.  The norms come from ``einsum``, so no
+    ``m x k`` or ``k x n`` temporary is allocated.
+
+    A wrong row whose error vector exceeds its tolerance ``F``-fold in some
+    entry survives one probe with probability at most ``1/F`` (the density
+    of its dot product with a uniform probe column is at most ``1/(2 F t)``),
+    and all probes with probability at most ``F**-r``, taken over the probe
+    draw for errors that do not depend on it.  Non-finite entries and a
+    wrongly shaped ``c`` fail.  The check runs inside a ``verify`` span on
+    the active :mod:`repro.obs` tracer.
+    """
+    tracer = active_tracer()
+    span = (
+        tracer.span("verify", cat="verify", track="run")
+        if tracer is not None
+        else nullcontext()
+    )
+    with span:
+        a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+        (m, k), n = a.shape, b.shape[1]
+        if c.shape != (m, n):
+            return False
+        probes = np.random.default_rng(_VERIFY_SEED).uniform(-1.0, 1.0, (n, _VERIFY_PROBES))
+        residual = np.abs(c @ probes - a @ (b @ probes))
+        row_norms = np.sqrt(np.einsum("ik,ik->i", a, a))
+        col_norms = np.sqrt(np.einsum("kj,kj->j", b, b))
+        gamma = 2.0 * (
+            allclose_tolerances(c.dtype, k)
+            + allclose_tolerances(np.float64, k)
+            + 2.0 * allclose_tolerances(np.float64, n)
+        )
+        bound = gamma * np.outer(row_norms, col_norms @ np.abs(probes))
+        return bool(np.all(residual <= bound))
 
 
 def as_payload(block, dtype=None):
